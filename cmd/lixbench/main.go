@@ -28,7 +28,8 @@
 //	                                           # gates warm >= 3x cold
 //	lixbench -lsm -quick                       # checkpoint engines under
 //	                                           # write load; gates LSM
-//	                                           # ckpt rate >= 2x snapshot
+//	                                           # ckpt rate >= 2x snapshot,
+//	                                           # recovery >= 0.15x
 //
 // Profiling and metrics:
 //
@@ -95,7 +96,7 @@ func main() {
 
 		paged = flag.Bool("paged", false, "paged mode: cold vs warm buffer-pool lookup throughput for the disk-backed paged indexes")
 
-		lsm = flag.Bool("lsm", false, "storage-engine mode: checkpoint cost under write load, LSM vs snapshot; gates LSM ckpt >= 2x snapshot")
+		lsm = flag.Bool("lsm", false, "storage-engine mode: checkpoint cost under write load, LSM vs snapshot; gates LSM ckpt >= 2x and recovery >= 0.15x snapshot")
 
 		serveAddr = flag.String("serve-addr", "", "loadgen mode: drive a running lixserve at this address")
 		pipeline  = flag.Int("pipeline", 32, "loadgen mode: requests per pipelined group")
@@ -426,7 +427,8 @@ func runPaged(n, q int, seed int64, quick bool, rev, outDir string) {
 // write-heavy checkpointing workload under the snapshot and LSM engines,
 // plus cold-start recovery and the absent-key filter probe phase. The
 // lsm/checkpoint/lsm result carries the blocking LSM >= 2x snapshot
-// checkpoint-rate floor. With -bench-out the lsm/... results merge into
+// checkpoint-rate floor, and lsm/recover/lsm the blocking
+// bench.LSMRecoverFloor recovery-rate floor. With -bench-out the lsm/... results merge into
 // an existing BENCH_<rev>.json like the batch mode does.
 func runLSM(n, q int, seed int64, quick bool, rev, outDir string) {
 	cfg := bench.DefaultLSMConfig()

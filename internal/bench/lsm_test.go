@@ -9,7 +9,8 @@ import (
 // checks the contract the CI gate depends on: six results across the two
 // engines, the absent-key filter probe passing (RunLSM errors if filters
 // skip under 90%), and the LSM checkpoint result carrying the blocking
-// >= 2x floor against the snapshot engine's checkpoint rate.
+// >= 2x floor against the snapshot engine's checkpoint rate, and the LSM
+// recovery result carrying its floor against the snapshot engine's.
 func TestRunLSMSmoke(t *testing.T) {
 	cfg := LSMConfig{N: 20_000, Writes: 6_000, Checkpoints: 3, Reads: 8_000, Seed: 3}
 	tables, results, err := RunLSM(cfg)
@@ -39,5 +40,9 @@ func TestRunLSMSmoke(t *testing.T) {
 	ckpt := byName[LSMResultName("checkpoint", lix.EngineLSM)]
 	if want := LSMResultName("checkpoint", lix.EngineSnapshot); ckpt.MinRatioOf != want || ckpt.MinRatio != 2 {
 		t.Errorf("LSM checkpoint gate = (%q, %v), want (%q, 2)", ckpt.MinRatioOf, ckpt.MinRatio, want)
+	}
+	rec := byName[LSMResultName("recover", lix.EngineLSM)]
+	if want := LSMResultName("recover", lix.EngineSnapshot); rec.MinRatioOf != want || rec.MinRatio != LSMRecoverFloor {
+		t.Errorf("LSM recover gate = (%q, %v), want (%q, %v)", rec.MinRatioOf, rec.MinRatio, want, LSMRecoverFloor)
 	}
 }

@@ -76,10 +76,12 @@ type Metrics struct {
 	// accumulate per-run learned-filter outcomes (a probe resolves as a
 	// skip, a false positive, or a genuine hit inside the run); the gauges
 	// describe the current tier state and are refreshed after every
-	// memtable flush and compaction. FilterBytes is the summed memory of
-	// all per-run learned filters (model + backup); FilterFPRPpm is the
-	// measured false-positive rate of the newest run's filter in parts per
-	// million (a gauge because FPR is a level, not a flow).
+	// memtable flush and compaction. A run builds its learned filter on
+	// its first probe, so both filter gauges cover built filters only:
+	// FilterBytes is the summed memory of the built per-run filters (model
+	// + backup); FilterFPRPpm is the measured false-positive rate of the
+	// newest built filter in parts per million (a gauge because FPR is a
+	// level, not a flow), 0 while none is built.
 	FilterProbes Counter
 	FilterSkips  Counter
 	FilterFPs    Counter

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -214,16 +215,21 @@ func TestDriftLoop(t *testing.T) {
 	}
 }
 
+// expvarRuns numbers TestPublishExpvar invocations: expvar names are
+// process-global and permanent, so each run (-count=N) needs its own.
+var expvarRuns atomic.Int64
+
 func TestPublishExpvar(t *testing.T) {
+	name := fmt.Sprintf("lix-obs-test-%d", expvarRuns.Add(1))
 	m := NewMetrics("expvar-test")
 	m.Lookups.Add(9)
-	if err := m.PublishExpvar("lix-obs-test"); err != nil {
+	if err := m.PublishExpvar(name); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
-	if err := m.PublishExpvar("lix-obs-test"); err == nil {
+	if err := m.PublishExpvar(name); err == nil {
 		t.Fatal("duplicate publish did not error")
 	}
-	v := expvar.Get("lix-obs-test")
+	v := expvar.Get(name)
 	if v == nil {
 		t.Fatal("expvar not registered")
 	}

@@ -289,6 +289,19 @@ func TestSlowRequestTimelineE2E(t *testing.T) {
 	}
 	defer c.Close()
 
+	// The server finishes a span after flushing its replies, so the client
+	// can hold them before the event is published: the event handler is
+	// the happens-before signal to wait on.
+	slow := make(chan string, 1)
+	m.Events.OnEvent(func(ev obs.Event) {
+		if ev.Type == lix.EvSlowRequest && strings.Contains(ev.Detail, "wal=") {
+			select {
+			case slow <- ev.Detail:
+			default:
+			}
+		}
+	})
+
 	// One pipelined write group: decode (parse), dispatch (group), wal +
 	// shard apply + fsync (durable insert) all get span time.
 	reqs := make([]wire.Msg, 16)
@@ -305,17 +318,12 @@ func TestSlowRequestTimelineE2E(t *testing.T) {
 		}
 	}
 
-	if got := m.Events.Count(lix.EvSlowRequest); got == 0 {
-		t.Fatal("no EvSlowRequest events despite 1ns threshold and full sampling")
-	}
 	var detail string
-	for _, ev := range m.Events.Recent(64) {
-		if ev.Type == lix.EvSlowRequest && strings.Contains(ev.Detail, "wal=") {
-			detail = ev.Detail
-		}
-	}
-	if detail == "" {
-		t.Fatalf("no slow-request event with a wal stage; events: %+v", m.Events.Recent(64))
+	select {
+	case detail = <-slow:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no slow-request event with a wal stage within 10s despite 1ns threshold and full sampling; events: %+v",
+			m.Events.Recent(64))
 	}
 	for _, stage := range []string{"ops=16", "decode=", "dispatch=", "shard=", "wal=", "fsync=", "total="} {
 		if !strings.Contains(detail, stage) {

@@ -80,27 +80,25 @@ type RunStats struct {
 }
 
 // Reader serves point lookups against one immutable run file. The data
-// pages stay on disk; in memory the reader keeps only derived structures —
-// the fence array (first key of each data page), a PLA model over it, the
-// tombstone keys, and the learned filter — all rebuilt at Open the same
-// way the paged PGM kind rebuilds its fence model. Methods are safe for
-// concurrent use.
+// pages stay on disk; in memory the reader keeps the run's header facts
+// from Open and, once the first in-range Get needs them, the derived
+// lookup structures (see lookupIndex). Methods are safe for concurrent
+// use.
 type Reader struct {
 	f    *os.File
 	path string
 	size int64
 
 	live      int
+	dead      int
 	dataPages int
 	seq       uint64
 	minKey    core.Key
 	maxKey    core.Key
 
-	fences []core.Key        // first key of data page i
-	model  []segment.Segment // PLA over fences (nil for small runs)
-	tombs  []core.Key        // sorted tombstone keys, fully in memory
-	filter *lbf.Filter       // membership over live ∪ tombstone keys
-	fpr    float64           // filter FPR measured on a holdout at open
+	buildOnce sync.Once
+	ix        atomic.Pointer[lookupIndex] // nil until built
+	buildErr  error                       // set inside buildOnce when the build fails
 
 	probes    atomic.Uint64
 	rangeSkip atomic.Uint64
@@ -111,6 +109,21 @@ type Reader struct {
 	pageReads atomic.Uint64
 }
 
+// lookupIndex holds a run's derived lookup structures — the fence array
+// (first key of each data page), a PLA model over it, the tombstone keys
+// and the learned filter — rebuilt from the file the same way the paged
+// PGM kind rebuilds its fence model. The store serves reads from its
+// in-memory index, so most runs are only ever merged, never probed:
+// building on first Get keeps filter training off seed, flush,
+// compaction and recovery.
+type lookupIndex struct {
+	fences []core.Key        // first key of data page i
+	model  []segment.Segment // PLA over fences (nil for small runs)
+	tombs  []core.Key        // sorted tombstone keys
+	filter *lbf.Filter       // membership over live ∪ tombstone keys
+	fpr    float64           // filter FPR measured on a holdout at build
+}
+
 // pagePool recycles 4 KiB lookup buffers across Get calls.
 var pagePool = sync.Pool{New: func() any {
 	b := make([]byte, PageSize)
@@ -118,8 +131,8 @@ var pagePool = sync.Pool{New: func() any {
 }}
 
 // Open validates the run file at path end to end (full canonical decode —
-// a torn or corrupted run is rejected here, never served) and builds the
-// derived lookup structures.
+// a torn or corrupted run is rejected here, never served) and keeps only
+// its header facts; the lookup structures are built on the first Get.
 func Open(path string) (*Reader, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -133,30 +146,62 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{
+	return &Reader{
 		f:         f,
 		path:      path,
 		size:      int64(len(b)),
 		live:      len(d.Live),
+		dead:      len(d.Dead),
 		dataPages: pagesFor(len(d.Live)),
 		seq:       d.Seq,
 		minKey:    d.MinKey(),
 		maxKey:    d.MaxKey(),
-		tombs:     d.Dead,
+	}, nil
+}
+
+// index returns the run's lookup structures, building them on first use
+// from a fresh, fully validated read of the file. A failed build is
+// sticky: every later call returns the same error.
+func (r *Reader) index() (*lookupIndex, error) {
+	r.buildOnce.Do(func() {
+		ix, err := r.build()
+		if err != nil {
+			r.buildErr = err
+			return
+		}
+		r.ix.Store(ix)
+	})
+	if ix := r.ix.Load(); ix != nil {
+		return ix, nil
 	}
-	// Fence array: the first key of each data page.
+	return nil, r.buildErr
+}
+
+// build re-reads and decodes the run and derives its lookup structures.
+// The re-read must describe the run Open validated; anything else means
+// the file changed underneath the reader.
+func (r *Reader) build() (*lookupIndex, error) {
+	d, err := r.Data()
+	if err != nil {
+		return nil, fmt.Errorf("sst: build lookup index: %w", err)
+	}
+	if len(d.Live) != r.live || len(d.Dead) != r.dead || d.Seq != r.seq ||
+		d.MinKey() != r.minKey || d.MaxKey() != r.maxKey {
+		return nil, fmt.Errorf("sst: %s: run changed since open", r.path)
+	}
+	ix := &lookupIndex{tombs: d.Dead}
 	if r.dataPages > 0 {
-		r.fences = make([]core.Key, r.dataPages)
-		for i := range r.fences {
-			r.fences[i] = d.Live[i*RecsPerPage].Key
+		ix.fences = make([]core.Key, r.dataPages)
+		for i := range ix.fences {
+			ix.fences[i] = d.Live[i*RecsPerPage].Key
 		}
 	}
-	if len(r.fences) >= minModelFences {
-		xs := make([]float64, len(r.fences))
-		for i, k := range r.fences {
+	if len(ix.fences) >= minModelFences {
+		xs := make([]float64, len(ix.fences))
+		for i, k := range ix.fences {
 			xs[i] = float64(k)
 		}
-		r.model = segment.BuildOptimal(xs, segment.Positions(len(xs)), fenceEps)
+		ix.model = segment.BuildOptimal(xs, segment.Positions(len(xs)), fenceEps)
 	}
 	// Learned filter over every key the run speaks for — live and dead.
 	// Zero false negatives is load-bearing twice over: a missed live key
@@ -170,16 +215,15 @@ func Open(path string) (*Reader, error) {
 	}
 	filter, err := lbf.Train(members, negs, bits, 0)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sst: %s: train filter: %w", path, err)
+		return nil, fmt.Errorf("sst: %s: train filter: %w", r.path, err)
 	}
-	r.filter = filter
+	ix.filter = filter
 	// Measure the realized FPR on a holdout batch of absent keys the
 	// filter was not trained on; exported on /metrics per run.
 	if holdout := synthNegatives(members, r.minKey, r.maxKey, d.Seq^r.maxKey^0x5bf0a8b1); len(holdout) > 0 {
-		r.fpr = lbf.MeasureFPR(filter, holdout)
+		ix.fpr = lbf.MeasureFPR(filter, holdout)
 	}
-	return r, nil
+	return ix, nil
 }
 
 // memberKeys returns the sorted union of live and tombstone keys.
@@ -257,18 +301,24 @@ func splitmix64(x *uint64) uint64 {
 // when the run tombstones k, Absent when the run says nothing (the caller
 // consults older runs). At most one page read per call; absent keys are
 // usually rejected by the range check or the learned filter without
-// touching disk.
+// touching disk. The first in-range call builds the lookup structures; if
+// that build fails (the file was damaged after Open) the error comes back
+// here, never a guessed answer.
 func (r *Reader) Get(k core.Key) (core.Value, State, error) {
 	r.probes.Add(1)
 	if k < r.minKey || k > r.maxKey {
 		r.rangeSkip.Add(1)
 		return 0, Absent, nil
 	}
-	if !r.filter.Contains(k) {
+	ix, err := r.index()
+	if err != nil {
+		return 0, Absent, err
+	}
+	if !ix.filter.Contains(k) {
 		r.filtSkip.Add(1)
 		return 0, Absent, nil
 	}
-	if i := core.LowerBound(r.tombs, k); i < len(r.tombs) && r.tombs[i] == k {
+	if i := core.LowerBound(ix.tombs, k); i < len(ix.tombs) && ix.tombs[i] == k {
 		r.tombHits.Add(1)
 		return 0, Deleted, nil
 	}
@@ -276,7 +326,7 @@ func (r *Reader) Get(k core.Key) (core.Value, State, error) {
 		r.falsePos.Add(1)
 		return 0, Absent, nil
 	}
-	pg := r.pageFor(k)
+	pg := ix.pageFor(k)
 	bp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bp)
 	p := page.Buf(*bp)
@@ -296,19 +346,19 @@ func (r *Reader) Get(k core.Key) (core.Value, State, error) {
 // fence ≤ k. The PLA model predicts a slot and a windowed search corrects
 // it; the result is verified against the full fence array (the model is
 // an accelerator, never an authority) with a binary-search fallback.
-func (r *Reader) pageFor(k core.Key) int {
+func (ix *lookupIndex) pageFor(k core.Key) int {
 	var i int
-	if r.model != nil {
-		s := &r.model[segment.Locate(r.model, float64(k))]
+	if ix.model != nil {
+		s := &ix.model[segment.Locate(ix.model, float64(k))]
 		p := int(s.Predict(float64(k)))
-		i = core.SearchRange(r.fences, k, p-fenceEps-1, p+fenceEps+2)
-		if !((i == 0 || r.fences[i-1] < k) && (i == len(r.fences) || r.fences[i] >= k)) {
-			i = core.LowerBound(r.fences, k)
+		i = core.SearchRange(ix.fences, k, p-fenceEps-1, p+fenceEps+2)
+		if !((i == 0 || ix.fences[i-1] < k) && (i == len(ix.fences) || ix.fences[i] >= k)) {
+			i = core.LowerBound(ix.fences, k)
 		}
 	} else {
-		i = core.LowerBound(r.fences, k)
+		i = core.LowerBound(ix.fences, k)
 	}
-	if i < len(r.fences) && r.fences[i] == k {
+	if i < len(ix.fences) && ix.fences[i] == k {
 		return i
 	}
 	if i == 0 {
@@ -361,22 +411,30 @@ func (r *Reader) Counters() Counters {
 	}
 }
 
-// Stats describes the open run.
+// Stats describes the open run. It never builds the lookup structures:
+// before the first in-range Get, Segments, FilterBits and BackupKeys
+// read zero.
 func (r *Reader) Stats() RunStats {
-	return RunStats{
-		Path:       r.path,
-		Live:       r.live,
-		Dead:       len(r.tombs),
-		Seq:        r.seq,
-		MinKey:     r.minKey,
-		MaxKey:     r.maxKey,
-		FileBytes:  r.size,
-		Fences:     len(r.fences),
-		Segments:   len(r.model),
-		FilterBits: r.filter.Bits(),
-		BackupKeys: r.filter.BackupKeys(),
+	st := RunStats{
+		Path:      r.path,
+		Live:      r.live,
+		Dead:      r.dead,
+		Seq:       r.seq,
+		MinKey:    r.minKey,
+		MaxKey:    r.maxKey,
+		FileBytes: r.size,
+		Fences:    r.dataPages,
 	}
+	if ix := r.ix.Load(); ix != nil {
+		st.Segments = len(ix.model)
+		st.FilterBits = ix.filter.Bits()
+		st.BackupKeys = ix.filter.BackupKeys()
+	}
+	return st
 }
+
+// Built reports whether the lookup structures have been built.
+func (r *Reader) Built() bool { return r.ix.Load() != nil }
 
 // Path returns the run file's path.
 func (r *Reader) Path() string { return r.path }
@@ -388,20 +446,29 @@ func (r *Reader) Seq() uint64 { return r.seq }
 func (r *Reader) Live() int { return r.live }
 
 // Dead returns the number of tombstones.
-func (r *Reader) Dead() int { return len(r.tombs) }
+func (r *Reader) Dead() int { return r.dead }
 
 // FileBytes returns the run file's size.
 func (r *Reader) FileBytes() int64 { return r.size }
 
-// FilterBits returns the learned filter's size in bits (model + backup).
-func (r *Reader) FilterBits() uint64 { return r.filter.Bits() }
+// FilterBits returns the learned filter's size in bits (model + backup),
+// or 0 while the filter is unbuilt.
+func (r *Reader) FilterBits() uint64 {
+	if ix := r.ix.Load(); ix != nil {
+		return ix.filter.Bits()
+	}
+	return 0
+}
 
-// Filter exposes the run's learned filter (for FPR measurement).
-func (r *Reader) Filter() *lbf.Filter { return r.filter }
-
-// MeasuredFPR is the filter's false-positive rate measured at Open on a
-// holdout batch of synthesized absent keys.
-func (r *Reader) MeasuredFPR() float64 { return r.fpr }
+// MeasuredFPR is the filter's false-positive rate measured at build time
+// on a holdout batch of synthesized absent keys, or 0 while the filter is
+// unbuilt.
+func (r *Reader) MeasuredFPR() float64 {
+	if ix := r.ix.Load(); ix != nil {
+		return ix.fpr
+	}
+	return 0
+}
 
 // Close closes the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }

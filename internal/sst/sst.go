@@ -37,9 +37,9 @@
 // at most once per run — live or dead, never both.
 //
 // The fence index and the learned filter are derived data: they are
-// rebuilt from the page contents at open (exactly as the paged PGM kind
-// rebuilds its fence model), never persisted, so the file format stays
-// canonical and the fuzz target can pin Encode(Decode(b)) == b.
+// rebuilt from the page contents on a reader's first lookup (as the paged
+// PGM kind rebuilds its fence model), never persisted, so the file format
+// stays canonical and the fuzz target can pin Encode(Decode(b)) == b.
 package sst
 
 import (

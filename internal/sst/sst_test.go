@@ -112,6 +112,9 @@ func TestReaderGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	if r.Built() {
+		t.Fatal("Open built the lookup structures")
+	}
 
 	for _, kv := range d.Live {
 		v, st, err := r.Get(kv.Key)

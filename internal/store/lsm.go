@@ -484,7 +484,9 @@ func sumCounters(runs []*sst.Reader, base sst.Counters) sst.Counters {
 
 // publishLSMGauges refreshes the LSM gauges and pushes filter counter
 // deltas into Metrics. Called after every flush and compaction (under
-// ckptMu, which makes the delta bookkeeping race-free).
+// ckptMu, which makes the delta bookkeeping race-free). Run filters are
+// built on a run's first probe, so FilterBytes and FilterFPRPpm cover
+// built filters only; publishing never triggers a build.
 func (d *Durable) publishLSMGauges() {
 	m := d.cfg.Metrics
 	if m == nil {
@@ -494,18 +496,21 @@ func (d *Durable) publishLSMGauges() {
 	runs := append([]*sst.Reader(nil), d.runs...)
 	d.runMu.RUnlock()
 	var bytes, tombs, bits int64
+	var fprPpm int64
+	fprSet := false
 	for _, r := range runs {
 		bytes += r.FileBytes()
 		tombs += int64(r.Dead())
 		bits += int64(r.FilterBits())
+		if !fprSet && r.Built() {
+			fprPpm, fprSet = int64(r.MeasuredFPR()*1e6), true
+		}
 	}
 	m.LSMRuns.Set(int64(len(runs)))
 	m.LSMRunBytes.Set(bytes)
 	m.LSMTombs.Set(tombs)
 	m.FilterBytes.Set((bits + 7) / 8)
-	if len(runs) > 0 {
-		m.FilterFPRPpm.Set(int64(runs[0].MeasuredFPR() * 1e6))
-	}
+	m.FilterFPRPpm.Set(fprPpm)
 	c := sumCounters(runs, d.lsmRetired)
 	m.FilterProbes.Add((c.Probes - c.RangeSkips) - (d.lsmPub.Probes - d.lsmPub.RangeSkips))
 	m.FilterSkips.Add(c.FilterSkips - d.lsmPub.FilterSkips)

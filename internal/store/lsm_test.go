@@ -180,8 +180,24 @@ func TestLSMCompactionBoundsRuns(t *testing.T) {
 	if m.LSMRunBytes.Load() != ls.RunBytes || ls.RunBytes == 0 {
 		t.Fatalf("lsm_run_bytes gauge = %d, want %d (nonzero)", m.LSMRunBytes.Load(), ls.RunBytes)
 	}
+	// Flushes and compactions never probe a run, so no filter is built
+	// yet and the filter-memory gauge covers none.
+	if got := m.FilterBytes.Load(); got != 0 {
+		t.Fatalf("lbf_filter_bytes = %d before any run probe, want 0", got)
+	}
+	// Probing through the run set builds the filters; the next publish
+	// (an empty flush) reports their memory.
+	tiers := d.Tiers()
+	for k, v := range expect {
+		if got, ok, err := tiers.Get(k); err != nil || !ok || got != v {
+			t.Fatalf("tiers.Get(%d) = (%d, %v, %v), want %d", k, got, ok, err, v)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if m.FilterBytes.Load() == 0 {
-		t.Fatal("lbf_filter_bytes gauge not published")
+		t.Fatal("lbf_filter_bytes gauge not published after the runs were probed")
 	}
 
 	// In-memory state matches the model, and so does a cold reopen.
@@ -452,5 +468,64 @@ func TestLSMTombstoneShadowsAcrossReopen(t *testing.T) {
 	}
 	if d2.Len() != 99 {
 		t.Fatalf("Len = %d, want 99", d2.Len())
+	}
+}
+
+// TestLSMFiltersBuiltOnlyByProbes: seeding, flushing, compacting and
+// recovering never build a run's filter — the store serves reads from
+// its in-memory index — while a probe through Tiers builds the filters
+// of exactly the runs it consults.
+func TestLSMFiltersBuiltOnlyByProbes(t *testing.T) {
+	unbuilt := func(t *testing.T, when string, runs []*sst.Reader) {
+		t.Helper()
+		if len(runs) == 0 {
+			t.Fatalf("%s: no runs", when)
+		}
+		for _, r := range runs {
+			if r.Built() {
+				t.Fatalf("%s: run %s has a built filter", when, r.Path())
+			}
+		}
+	}
+	dir := t.TempDir()
+	seed := make([]core.KV, 5000)
+	for i := range seed {
+		seed[i] = core.KV{Key: core.Key(i * 2), Value: core.Value(i)}
+	}
+	d, err := Create(dir, lsmCfg(), memBuild(1), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbuilt(t, "after Create", d.Runs())
+	for b := 0; b < 2*compactMinRuns; b++ {
+		for i := 0; i < 200; i++ {
+			d.Put(core.Key(b*1000+i*2+1), core.Value(i))
+		}
+		d.Del(core.Key(b * 4))
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unbuilt(t, "after flushes and compactions", d.Runs())
+	want := d.Len()
+	d.Close()
+
+	d2, err := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if d2.Len() != want {
+		t.Fatalf("recovered %d records, want %d", d2.Len(), want)
+	}
+	runs := d2.Runs()
+	unbuilt(t, "after recovery", runs)
+
+	// Seed key 2 is in no newer run, so its probe reaches the oldest run.
+	if _, ok, err := d2.Tiers().Get(2); err != nil || !ok {
+		t.Fatalf("Tiers().Get(2) = (%v, %v), want present", ok, err)
+	}
+	if !runs[len(runs)-1].Built() {
+		t.Fatal("probe through Tiers did not build the oldest run's filter")
 	}
 }
